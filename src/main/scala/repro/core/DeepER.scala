@@ -109,48 +109,38 @@ object DeepER {
 
   /** Cross-validated classification over precomputed feature vectors
     * (used by both DeepER-avg and the classical baseline so the protocol
-    * is identical). The decision threshold is selected on the training
-    * fold. Returns per-fold PRF on the held-out fold.
+    * is identical). Returns per-fold PRF on the held-out fold.
     */
   def crossValidate(
       features: IndexedSeq[Array[Double]],
       labels: IndexedSeq[Double],
       cfg: Config,
       fit: (IndexedSeq[Array[Double]], IndexedSeq[Double], Long) => Array[Double] => Double,
+  ): Seq[PRF] = crossValidateOn(features, labels, cfg)(fit)
+
+  /** The one fold loop, over any example type: stratified folds, the
+    * training-set knobs, `fit` on the (possibly noisy) training labels,
+    * decision threshold selected on the training fold, PRF on the
+    * held-out fold. `fit` sits in its own parameter list so that `X` is
+    * inferred from `examples` before the lambda is typed.
+    */
+  def crossValidateOn[X](examples: IndexedSeq[X], labels: IndexedSeq[Double], cfg: Config)(
+      fit: (IndexedSeq[X], IndexedSeq[Double], Long) => X => Double,
   ): Seq[PRF] = {
-    require(features.length == labels.length)
+    require(examples.length == labels.length)
     Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
       val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
       val predict = fit(
-        train.map(features).toIndexedSeq,
+        train.map(examples).toIndexedSeq,
         train.map(trainLabels).toIndexedSeq,
         cfg.seed + f)
-      val t = bestThreshold(train.map(i => predict(features(i))), train.map(labels))
-      Evaluation.score(test.map(i => predict(features(i))), test.map(labels), t)
+      val t = bestThreshold(train.map(i => predict(examples(i))), train.map(labels))
+      Evaluation.score(test.map(i => predict(examples(i))), test.map(labels), t)
     }
   }
 
   /** Mean-F1 over folds. */
   def meanF1(prfs: Seq[PRF]): Double = prfs.map(_.f1).sum / prfs.size * 100.0
-
-  /** Full DeepER run with averaging composition and frozen embeddings —
-    * the Table 4 configuration. Tuple embedding runs distributed; the
-    * similarity vectors are precomputed once and the Figure-5
-    * classification head is trained per fold.
-    */
-  def runAvg(spark: SparkSession, ds: ERDataset, dict: EmbeddingDict, cfg: Config = Config()): Seq[PRF] = {
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
-    val (pairs, _) = samplePairs(matches, vecsA, vecsB, cfg.negRatio, cfg.seed)
-    val feats = pairs.map(p => Similarity.cosineVector(vecsA(p.a), vecsB(p.b)))
-    val labels = pairs.map(_.label)
-    crossValidate(feats, labels, cfg, (xs, ys, s) => {
-      val mlp = new MLPClassifier(ds.attrs.size, cfg.hidden, s)
-      mlp.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
-      mlp.predictProb _
-    })
-  }
 
   /** Tokenized tuples as embedding-table indices, collected per table. */
   def collectTokenIndices(
@@ -185,40 +175,32 @@ object DeepER {
 
   /** Full DeepER run through the end-to-end network of Figure 5 with a
     * choice of composition and optional embedding fine-tuning
-    * (Sections 2.3 + 3.4; Figures 8 and 9).
+    * (Sections 2.3 + 3.4; Figures 8 and 9), cross-validated over labelled
+    * `pairs` of `ds` (from the Section 5.1 sampling).
     */
   def runNet(
       spark: SparkSession,
       ds: ERDataset,
       dict: EmbeddingDict,
+      pairs: IndexedSeq[LabeledPair],
       comp: Composition,
       trainEmbeddings: Boolean,
-      cfg: Config = Config(negRatio = 4),
+      cfg: Config,
   ): Seq[PRF] = {
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, ds.tableA, ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, ds.tableB, ds.attrs, dict)
-    val matches = ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
-    val (pairs, _) = samplePairs(matches, vecsA, vecsB, cfg.negRatio, cfg.seed)
-
-    val vocab = corpusVocab(spark, ds)
-    val (index, emb0, unkIdx) = dict.toTable(vocab)
+    val (index, emb0, unkIdx) = dict.toTable(corpusVocab(spark, ds))
     val (toksA, toksB) = collectTokenIndices(ds, index, unkIdx, cfg.maxTokensPerAttr)
     val examples = pairs.map(p => PairExample(toksA(p.a), toksB(p.b), p.label))
-    val labels = pairs.map(_.label)
-
-    Evaluation.stratifiedFolds(labels, cfg.folds, cfg.seed).zipWithIndex.map { case ((train0, test), f) =>
-      val (train, trainLabels) = applyTrainKnobs(train0, labels, cfg)
+    crossValidateOn(examples, pairs.map(_.label), cfg) { (xs, ys, s) =>
       val emb = if (trainEmbeddings) emb0.copy() else emb0
-      val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, cfg.seed + f)
-      val trainEx = train.map(i => examples(i).copy(label = trainLabels(i))).toIndexedSeq
+      val net = new DeepERNet(emb, unkIdx, ds.attrs.size, comp, cfg.hidden, trainEmbeddings, s)
       // Embeddings get a much smaller effective step than the dense
       // layers: Adam normalizes per-parameter step sizes, so the paper's
       // "update rate 0.01" (raw SGD scale) corresponds to a small
       // fraction of the Adam learning rate — anything near 1.0 destroys
       // the pre-trained geometry within an epoch.
-      net.fit(trainEx, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, embLrScale = 0.01, seed = cfg.seed + f)
-      val t = bestThreshold(train.map(i => net.predictProb(examples(i))), train.map(labels))
-      Evaluation.score(test.map(i => net.predictProb(examples(i))), test.map(labels), t)
+      net.fit(xs.zip(ys).map { case (x, y) => x.copy(label = y) },
+        cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, embLrScale = 0.01, seed = s)
+      net.predictProb _
     }
   }
 }

@@ -41,8 +41,13 @@ object TupleEmbedder {
   def collectAvgVectors(
       spark: SparkSession, df: DataFrame, attrs: Seq[String], dict: EmbeddingDict,
   ): Map[Long, Array[Array[Double]]] =
-    withAvgVectors(spark, df, attrs, dict)
-      .select("id", "vecs")
+    collectVectors(withAvgVectors(spark, df, attrs, dict))
+
+  /** The `id → vecs` map of a frame that already carries the `vecs`
+    * column of [[withAvgVectors]] (e.g. a cached one).
+    */
+  def collectVectors(df: DataFrame): Map[Long, Array[Array[Double]]] =
+    df.select("id", "vecs")
       .collect()
       .map(r => r.getLong(0) -> r.getSeq[scala.collection.Seq[Double]](1).map(_.toArray).toArray)
       .toMap

@@ -56,9 +56,8 @@ object BlockingExperiments {
       cfg: DeepER.Config = DeepER.Config(folds = 1, epochs = 15),
       maxTrainNeg: Int = 30000,
   ): Seq[(Int, Int, Double, Double)] = {
-    val dict = Dicts.gloveLike(p.ds.forms)
-    val vecsA = TupleEmbedder.collectAvgVectors(spark, p.ds.tableA, p.ds.attrs, dict)
-    val vecsB = TupleEmbedder.collectAvgVectors(spark, p.ds.tableB, p.ds.attrs, dict)
+    val vecsA = TupleEmbedder.collectVectors(p.drA)
+    val vecsB = TupleEmbedder.collectVectors(p.drB)
     val matches = p.ds.matches.collect().map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
     val gold = matches.toSet
 
@@ -106,6 +105,15 @@ object BlockingExperiments {
     }
   }
 
+  /** Figure 11 on Prod-AG: one run varying K at L=10, one varying L at K=4. */
+  def fig11(spark: SparkSession): Seq[Seq[(Int, Int, Double, Double)]] = {
+    val p = prepareBlocks(spark, ERDatasets.prodAG(spark))
+    Seq(Seq(1, 4, 10).map(k => (k, 10)), Seq(1, 4, 10).map(l => (4, l))).map(endToEnd(spark, p, _))
+  }
+
+  def endToEndRows(rows: Seq[(Int, Int, Double, Double)]): Seq[Seq[String]] =
+    rows.map { case (k, l, pr, re) => Seq(k.toString, l.toString, fmtPct(pr), fmtPct(re)) }
+
   /** Figure 12: multi-probe recall at L=1, K=10 for varying top-N. */
   def multiProbe(
       spark: SparkSession,
@@ -122,6 +130,13 @@ object BlockingExperiments {
       (mp, n, MultiProbeLSH.recall(cands, p.ds.matches))
     }
   }
+
+  /** Figure 12 on Prod-AG. */
+  def fig12(spark: SparkSession): Seq[(Int, Int, Double)] =
+    multiProbe(spark, prepareBlocks(spark, ERDatasets.prodAG(spark)))
+
+  def multiProbeRows(rows: Seq[(Int, Int, Double)]): Seq[Seq[String]] =
+    rows.map { case (mp, n, r) => Seq(mp.toString, n.toString, fmtPct(r), fmtPct(fig12Paper((mp, n)))) }
 
   // Paper values for the printouts (Prod-AG / Pub-DS series of Figure 10).
   val fig10aPaper = Map( // K -> (Prod-AG PC, Pub-DS PC) at L=10
@@ -141,7 +156,8 @@ object BlockingExperiments {
     (1, 10) -> 0.33, (1, 20) -> 0.36, (1, 50) -> 0.41, (1, 100) -> 0.44,
     (2, 10) -> 0.42, (2, 20) -> 0.469, (2, 50) -> 0.53, (2, 100) -> 0.58)
 
-  def blockingSweepRows(spark: SparkSession): (Seq[Seq[String]], Seq[Seq[String]]) = {
+  /** Figure 10 rows: the K sweep at L=10, then the L sweep at K=4. */
+  def blockingSweepRows(spark: SparkSession): Seq[Seq[Seq[String]]] = {
     val ag = prepareBlocks(spark, ERDatasets.prodAG(spark))
     val dsb = prepareBlocks(spark, ERDatasets.pubDS(spark))
     val ks = Seq(1, 2, 4, 6, 8, 10)
@@ -160,6 +176,6 @@ object BlockingExperiments {
         fmtPct(agL(i)._2), fmtPct(dsL(i)._2), fmtPct(fig10cPaper(l)._1), fmtPct(fig10cPaper(l)._2),
         fmtPct(agL(i)._3), fmtPct(dsL(i)._3), fmtPct(fig10dPaper(l)._1), fmtPct(fig10dPaper(l)._2))
     }
-    (rowsK, rowsL)
+    Seq(rowsK, rowsL)
   }
 }

@@ -8,7 +8,7 @@ import repro.embedding.EmbeddingDict
 import repro.nn._
 
 /** Harnesses reproducing the evaluation tables of Section 5 (shared by the
-  * bench suites and the spark-submit jobs). Each returns printable rows;
+  * bench suites and the spark-submit job). Each returns printable rows;
   * paper numbers are recorded alongside in EXPERIMENTS.md and in the
   * bench output.
   */
@@ -203,8 +203,10 @@ object Experiments {
   def vectorUpdate(spark: SparkSession, cfg: DeepER.Config = DeepER.Config(negRatio = 4, folds = 2, epochs = 12)): Seq[Seq[String]] =
     ERDatasets.all(spark).map { ds =>
       val dict = Dicts.impreciseLike(ds.forms)
-      val frozen = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
-      val tuned = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = true, cfg))
+      val pairs = prepare(spark, ds, dict, cfg.negRatio, cfg.seed).pairs
+      def f1(trainEmbeddings: Boolean) =
+        DeepER.meanF1(DeepER.runNet(spark, ds, dict, pairs, AvgComp, trainEmbeddings, cfg))
+      val (frozen, tuned) = (f1(false), f1(true))
       val (pf, pt) = fig8Paper(ds.name)
       Seq(ds.name, fmtPct(frozen), fmtPct(tuned), fmtPct(pf), fmtPct(pt))
     }
@@ -222,12 +224,12 @@ object Experiments {
       names: Seq[String] = Seq("Pub-DA", "Prod-AG", "Rest-FZ"),
       cfg: DeepER.Config = DeepER.Config(negRatio = 2, folds = 2, epochs = 16, maxTokensPerAttr = 12),
   ): Seq[Seq[String]] = {
-    val all = ERDatasets.all(spark).filter(d => names.contains(d.name))
-    all.map { ds =>
+    ERDatasets.all(spark).filter(d => names.contains(d.name)).map { ds =>
       val dict = Dicts.gloveLike(ds.forms)
-      val avg = DeepER.meanF1(DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false, cfg))
-      val bi = DeepER.meanF1(DeepER.runNet(spark, ds, dict, BiLstmComp(24), trainEmbeddings = false, cfg))
-      val s2v = DeepER.meanF1(DeepER.runNet(spark, ds, dict, Sent2VecComp, trainEmbeddings = true, cfg))
+      val pairs = prepare(spark, ds, dict, cfg.negRatio, cfg.seed).pairs
+      def f1(comp: Composition, trainEmbeddings: Boolean) =
+        DeepER.meanF1(DeepER.runNet(spark, ds, dict, pairs, comp, trainEmbeddings, cfg))
+      val (avg, bi, s2v) = (f1(AvgComp, false), f1(BiLstmComp(24), false), f1(Sent2VecComp, true))
       val (pa, pb, ps) = fig9Paper(ds.name)
       Seq(ds.name, fmtPct(avg), fmtPct(bi), fmtPct(s2v), fmtPct(pa), fmtPct(pb), fmtPct(ps))
     }
@@ -251,4 +253,68 @@ object Experiments {
     val mF1 = magellanF1(spark, p, cfg)
     Seq(Seq("Nucleotide", fmtPct(dF1), fmtPct(mF1), "87.40", "83.90"))
   }
+
+  // ------------------------------------------------------------------
+  // The experiment list, read by both the bench suites and repro.jobs.Run
+  // ------------------------------------------------------------------
+
+  /** One printed table: its title and column header. */
+  final case class Table(title: String, header: String*)
+
+  /** A named experiment: its tables, and `rows` computes one row set per
+    * table.
+    */
+  final case class Experiment(name: String, tables: Seq[Table], rows: SparkSession => Seq[Seq[Seq[String]]]) {
+    def render(rowSets: Seq[Seq[Seq[String]]]): String =
+      tables.zip(rowSets).map { case (t, r) => Experiments.render(t.title, t.header, r) }.mkString("\n")
+
+    /** Compute the rows, print the tables and return the rows. */
+    def run(spark: SparkSession): Seq[Seq[Seq[String]]] = {
+      val rowSets = rows(spark)
+      println(render(rowSets))
+      rowSets
+    }
+  }
+
+  private def single(name: String, table: Table)(rows: SparkSession => Seq[Seq[String]]) =
+    Experiment(name, Seq(table), spark => Seq(rows(spark)))
+
+  lazy val all: Seq[Experiment] = {
+    import BlockingExperiments._
+    val sweep = Seq("PC AG", "PC DS", "PC AG(p)", "PC DS(p)", "RR AG", "RR DS", "RR AG(p)", "RR DS(p)")
+    Seq(
+      single("table3", Table("Table 3: data statistics",
+        "dataset", "tuples(repro)", "matches", "attrs", "tuples(paper)", "matches(paper)", "attrs(paper)"))(table3),
+      single("table4", Table("Table 4: DeepER vs Magellan (measured | paper)",
+        "dataset", "Magellan", "DeepER", "Magellan(paper)", "DeepER(paper)", "published"))(table4(_)),
+      single("table5", Table("Table 5: dictionary impact (measured | paper)",
+        "dataset", "GloVe", "GloVe-Wiki", "Wiki+retrofit", "GloVe(paper)", "GloVe-Wiki(paper)"))(table5(_)),
+      single("table6", Table("Table 6: embedding model impact (measured | paper)",
+        "dataset", "GloVe", "Word2Vec", "FastText", "GloVe(p)", "W2V(p)", "FT(p)"))(table6(_)),
+      single("table7", Table("Table 7: multilingual (measured | paper)",
+        "dataset", "English", "Spanish", "English(paper)", "Spanish(paper)"))(table7(_)),
+      single("fig6", Table("Figure 6: training size (measured | paper)",
+        "dataset", "10%", "30%", "50%", "10%(p)", "30%(p)", "50%(p)"))(trainingSize(_)),
+      single("fig7", Table("Figure 7: label noise (measured | paper)",
+        "dataset", "clean", "10%", "30%", "clean(p)", "10%(p)", "30%(p)"))(labelNoise(_)),
+      single("fig8", Table("Figure 8: embedding updates (measured | paper)",
+        "dataset", "NoUpdate", "Update", "NoUpdate(p)", "Update(p)"))(vectorUpdate(_)),
+      single("fig9", Table("Figure 9: composition (measured | paper)",
+        "dataset", "Average", "Bi-LSTM", "Sent2Vec", "Avg(p)", "BiLSTM(p)", "S2V(p)"))(composition(_)),
+      Experiment("fig10", Seq(
+        Table("Figure 10 a-b: vary K at L=10 (measured | paper)", "K" +: sweep: _*),
+        Table("Figure 10 c-d: vary L at K=4 (measured | paper)", "L" +: sweep: _*)), blockingSweepRows),
+      Experiment("fig11",
+        Seq("vary K at L=10", "vary L at K=4").map(v => Table(s"Figure 11 ($v) Prod-AG", "K", "L", "precision", "recall")),
+        spark => fig11(spark).map(endToEndRows)),
+      single("fig12", Table("Figure 12: multi-probe recall on Prod-AG (measured | paper)",
+        "MP", "top-N", "recall", "recall(paper)"))(spark => multiProbeRows(fig12(spark))),
+      single("nucleotide", Table("Nucleotide benchmark (measured | paper state of the art)",
+        "dataset", "DeepER", "hand-crafted ML", "DeepER(paper)", "SOTA(paper)"))(nucleotide(_)),
+    )
+  }
+
+  def named(name: String): Experiment =
+    all.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown experiment '$name'; valid names: ${all.map(_.name).mkString(", ")}"))
 }

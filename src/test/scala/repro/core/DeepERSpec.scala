@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.data.ERDatasets
 import repro.embedding.SyntheticGlove
+import repro.exp.Experiments
 import repro.nn.{AvgComp, LstmComp}
 
 class DeepERSpec extends SparkSpec {
@@ -48,25 +49,31 @@ class DeepERSpec extends SparkSpec {
     assert(prfs.forall(_.f1 > 0.9)) // trivially separable
   }
 
-  test("runAvg achieves high F1 on the easy Rest-FZ dataset") {
-    val prfs = DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 3, epochs = 12, seed = 5))
-    val f1 = DeepER.meanF1(prfs)
+  private def prepared(cfg: DeepER.Config) = Experiments.prepare(spark, ds, dict, cfg.negRatio, cfg.seed)
+
+  test("prepare + deeperF1 achieve high F1 on the easy Rest-FZ dataset") {
+    val cfg = DeepER.Config(negRatio = 4, folds = 3, epochs = 12, seed = 5)
+    val f1 = Experiments.deeperF1(prepared(cfg), cfg)
     assert(f1 > 90.0, s"F1 = $f1")
   }
 
   test("trainFraction knob reduces the training set without crashing the protocol") {
-    val prfs = DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 2, epochs = 8, trainFraction = 0.1, seed = 6))
+    val cfg = DeepER.Config(negRatio = 4, folds = 2, epochs = 8, trainFraction = 0.1, seed = 6)
+    val p = prepared(cfg)
+    val prfs = DeepER.crossValidate(p.cosFeats, p.labels, cfg, (xs, ys, s) => {
+      val m = new repro.nn.MLPClassifier(ds.attrs.size, cfg.hidden, s)
+      m.fit(xs, ys, cfg.epochs, cfg.batchSize, cfg.lr, cfg.l2, s)
+      m.predictProb _
+    })
     assert(prfs.size == 2)
     assert(prfs.forall(p => p.f1 >= 0.0 && p.f1 <= 1.0))
   }
 
   test("heavy label noise lowers F1 relative to clean labels") {
-    val clean = DeepER.meanF1(DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7)))
-    val noisy = DeepER.meanF1(DeepER.runAvg(spark, ds, dict,
-      DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7, labelNoise = 0.45)))
+    val cfg = DeepER.Config(negRatio = 4, folds = 2, epochs = 10, seed = 7)
+    val p = prepared(cfg)
+    val clean = Experiments.deeperF1(p, cfg)
+    val noisy = Experiments.deeperF1(p, cfg.copy(labelNoise = 0.45))
     assert(noisy <= clean, s"noisy=$noisy clean=$clean")
   }
 
@@ -85,15 +92,15 @@ class DeepERSpec extends SparkSpec {
   }
 
   test("runNet with averaging composition works end-to-end on a small config") {
-    val prfs = DeepER.runNet(spark, ds, dict, AvgComp, trainEmbeddings = false,
-      DeepER.Config(negRatio = 2, folds = 2, epochs = 6, seed = 8))
+    val cfg = DeepER.Config(negRatio = 2, folds = 2, epochs = 6, seed = 8)
+    val prfs = DeepER.runNet(spark, ds, dict, prepared(cfg).pairs, AvgComp, trainEmbeddings = false, cfg)
     assert(prfs.size == 2)
     assert(DeepER.meanF1(prfs) > 60.0)
   }
 
   test("runNet with LSTM composition runs end-to-end (smoke, tiny epochs)") {
-    val prfs = DeepER.runNet(spark, ds, dict, LstmComp(10), trainEmbeddings = false,
-      DeepER.Config(negRatio = 1, folds = 2, epochs = 2, maxTokensPerAttr = 5, seed = 9))
+    val cfg = DeepER.Config(negRatio = 1, folds = 2, epochs = 2, maxTokensPerAttr = 5, seed = 9)
+    val prfs = DeepER.runNet(spark, ds, dict, prepared(cfg).pairs, LstmComp(10), trainEmbeddings = false, cfg)
     assert(prfs.size == 2)
   }
 

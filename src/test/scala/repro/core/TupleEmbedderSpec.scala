@@ -61,6 +61,17 @@ class TupleEmbedderSpec extends SparkSpec {
     assert(m(5L)(1).forall(_ == 0.0))
   }
 
+  test("collectVectors of withAvgVectors' cached output equals collectAvgVectors") {
+    val df = mkDf(Seq((0L, "bill gates", "seattle"), (1L, "gates zzz", null), (2L, null, "seattle bill")))
+    val attrs = Seq("name", "city")
+    val cached = TupleEmbedder.withAvgVectors(spark, df, attrs, dict).select("id", "vecs", "dr").cache()
+    val fromCache = TupleEmbedder.collectVectors(cached)
+    val direct = TupleEmbedder.collectAvgVectors(spark, df, attrs, dict)
+    cached.unpersist()
+    assert(fromCache.keySet == direct.keySet)
+    direct.foreach { case (id, vecs) => assert(fromCache(id).map(_.toSeq).toSeq == vecs.map(_.toSeq).toSeq) }
+  }
+
   test("withLstmVectors produces hidDim-sized DRs for every tuple") {
     val df = mkDf(Seq((0L, "bill gates", "seattle"), (1L, null, null)))
     val (index, emb, unkIdx) = dict.toTable(Seq("bill", "gates", "seattle"))
