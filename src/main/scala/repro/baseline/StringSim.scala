@@ -1,5 +1,7 @@
 package repro.baseline
 
+import repro.core.Tokenizer
+
 /** Classical symbolic string-similarity functions — the feature pool a
   * Magellan-style ER system engineers its features from (the paper's
   * observation (ii): experts pick from pools like SimMetrics' 29
@@ -10,23 +12,6 @@ object StringSim {
 
   private def bothEmpty(a: String, b: String) = (a == null || a.isEmpty) && (b == null || b.isEmpty)
   private def oneEmpty(a: String, b: String) = (a == null || a.isEmpty) != (b == null || b.isEmpty)
-
-  /** Levenshtein edit distance (full DP matrix, strings here are short). */
-  def levenshtein(a: String, b: String): Int = {
-    if (a == null || b == null) return math.max(if (a == null) 0 else a.length, if (b == null) 0 else b.length)
-    val dp = Array.tabulate(a.length + 1)(i => Array.tabulate(b.length + 1)(j => if (i == 0) j else if (j == 0) i else 0))
-    for (i <- 1 to a.length; j <- 1 to b.length) {
-      val cost = if (a(i - 1) == b(j - 1)) 0 else 1
-      dp(i)(j) = math.min(math.min(dp(i - 1)(j) + 1, dp(i)(j - 1) + 1), dp(i - 1)(j - 1) + cost)
-    }
-    dp(a.length)(b.length)
-  }
-
-  /** Normalized Levenshtein similarity. */
-  def levenshteinSim(a: String, b: String): Double =
-    if (bothEmpty(a, b)) 1.0
-    else if (oneEmpty(a, b)) 0.0
-    else 1.0 - levenshtein(a, b).toDouble / math.max(a.length, b.length)
 
   /** Jaro similarity. */
   def jaro(a: String, b: String): Double = {
@@ -62,52 +47,53 @@ object StringSim {
     j + prefix * 0.1 * (1.0 - j)
   }
 
-  def tokens(s: String): Set[String] =
-    if (s == null) Set.empty
-    else s.toLowerCase.split("\\s+").filter(_.nonEmpty).toSet
+  /** The token set of `s` under the DeepER tokenizer. */
+  def tokens(s: String): Set[String] = Tokenizer.tokenize(s).toSet
 
   /** Token-set Jaccard. */
-  def jaccard(a: String, b: String): Double = {
-    val ta = tokens(a); val tb = tokens(b)
-    if (ta.isEmpty && tb.isEmpty) 1.0
-    else if (ta.isEmpty || tb.isEmpty) 0.0
-    else ta.intersect(tb).size.toDouble / ta.union(tb).size
-  }
+  def jaccard(a: Set[String], b: Set[String]): Double =
+    if (a.isEmpty && b.isEmpty) 1.0
+    else if (a.isEmpty || b.isEmpty) 0.0
+    else a.intersect(b).size.toDouble / a.union(b).size
 
   /** Token overlap coefficient. */
-  def overlap(a: String, b: String): Double = {
-    val ta = tokens(a); val tb = tokens(b)
-    if (ta.isEmpty && tb.isEmpty) 1.0
-    else if (ta.isEmpty || tb.isEmpty) 0.0
-    else ta.intersect(tb).size.toDouble / math.min(ta.size, tb.size)
-  }
+  def overlap(a: Set[String], b: Set[String]): Double =
+    if (a.isEmpty && b.isEmpty) 1.0
+    else if (a.isEmpty || b.isEmpty) 0.0
+    else a.intersect(b).size.toDouble / math.min(a.size, b.size)
 
+  /** Character-trigram counts of `s` (padded; empty under 3 characters). */
   def trigrams(s: String): Map[String, Int] =
     if (s == null || s.length < 3) Map.empty
     else ("  " + s.toLowerCase + "  ").sliding(3).toSeq.groupBy(identity).map { case (g, o) => g -> o.size }
 
   /** Cosine similarity over character-trigram count vectors (the classical
-    * prefilter of Köpcke et al. used in the paper's setup section).
+    * prefilter of Köpcke et al. used in the paper's setup section); two
+    * empty vectors agree.
     */
-  def trigramCosine(a: String, b: String): Double = {
-    if (bothEmpty(a, b)) return 1.0
-    val ga = trigrams(a); val gb = trigrams(b)
-    if (ga.isEmpty || gb.isEmpty) return 0.0
-    val dotP = ga.keysIterator.map(k => ga(k).toDouble * gb.getOrElse(k, 0)).sum
-    val na = math.sqrt(ga.valuesIterator.map(v => v.toDouble * v).sum)
-    val nb = math.sqrt(gb.valuesIterator.map(v => v.toDouble * v).sum)
-    dotP / (na * nb)
-  }
+  def trigramCosine(a: Map[String, Int], b: Map[String, Int]): Double =
+    if (a.isEmpty && b.isEmpty) 1.0
+    else if (a.isEmpty || b.isEmpty) 0.0
+    else {
+      val dot = a.keysIterator.map(k => a(k).toDouble * b.getOrElse(k, 0)).sum
+      val na = math.sqrt(a.valuesIterator.map(v => v.toDouble * v).sum)
+      val nb = math.sqrt(b.valuesIterator.map(v => v.toDouble * v).sum)
+      dot / (na * nb)
+    }
 
   /** Exact match indicator. */
   def exact(a: String, b: String): Double =
     if (bothEmpty(a, b)) 1.0 else if (a != null && a == b) 1.0 else 0.0
 
+  /** `s` parsed as a number, if it is one. */
+  def number(s: String): Option[Double] =
+    try { Option(s).map(_.toDouble) } catch { case _: Exception => None }
+
   /** Relative numeric closeness, 0 when either side is not a number. */
-  def numericSim(a: String, b: String): Double =
-    try {
-      val x = a.toDouble; val y = b.toDouble
+  def numericSim(a: Option[Double], b: Option[Double]): Double = (a, b) match {
+    case (Some(x), Some(y)) =>
       val d = math.max(math.abs(x), math.abs(y))
       if (d == 0.0) 1.0 else math.max(0.0, 1.0 - math.abs(x - y) / d)
-    } catch { case _: Exception => 0.0 }
+    case _ => 0.0
+  }
 }

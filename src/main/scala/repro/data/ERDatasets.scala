@@ -18,9 +18,9 @@ final case class ERDataset(
     forms: Seq[SurfaceForm],
     easy: Boolean,
 ) {
-  def nA: Long = tableA.count()
-  def nB: Long = tableB.count()
-  def nMatches: Long = matches.count()
+  lazy val nA: Long = tableA.count()
+  lazy val nB: Long = tableB.count()
+  lazy val nMatches: Long = matches.count()
 }
 
 /** Synthetic equivalents of the paper's seven benchmark datasets

@@ -19,8 +19,6 @@ import org.apache.spark.sql.types._
 object Nucleotide {
   private val bases = "ACGT"
 
-  final case class NucRecord(id: Long, sequence: String, organism: String, gene: String)
-
   def randomSeq(len: Int, rng: scala.util.Random): String =
     (1 to len).map(_ => bases(rng.nextInt(4))).mkString
 

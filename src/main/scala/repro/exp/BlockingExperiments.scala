@@ -26,22 +26,11 @@ object BlockingExperiments {
     BlockPrep(ds, a, b, ds.attrs.size * Dicts.dim)
   }
 
-  /** Figure 10 a/b: PC and RR vs K at fixed L. */
-  def sweepK(spark: SparkSession, p: BlockPrep, ks: Seq[Int], l: Int = 10): Seq[(Int, Double, Double)] =
-    ks.map { k =>
-      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
-      val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
-      (k, pc, rr)
-    }
-
-  /** Figure 10 c/d: PC and RR vs L at fixed K. */
-  def sweepL(spark: SparkSession, p: BlockPrep, ls: Seq[Int], k: Int = 4): Seq[(Int, Double, Double)] =
-    ls.map { l =>
-      val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
-      val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
-      val (pc, rr) = RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
-      (l, pc, rr)
+  /** Figure 10: PC and RR of the bucket join for each (K, L) config. */
+  def sweep(spark: SparkSession, p: BlockPrep, configs: Seq[(Int, Int)]): Seq[(Double, Double)] =
+    configs.map { case (k, l) =>
+      val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, RandomHyperplaneLSH.model(p.dim, k, l, seed = 23))
+      RandomHyperplaneLSH.blockingMetrics(cands, p.ds.matches, p.ds.nA, p.ds.nB)
     }
 
   /** Train the DeepER classifier once on the paper's sampled pairs, then
@@ -84,7 +73,6 @@ object BlockingExperiments {
       val sim = Similarity.cosineVector(va.map(_.toArray).toArray, vb.map(_.toArray).toArray)
       bMlp.value.predictProb(sim)
     }
-    val nGold = p.ds.matches.count()
     configs.map { case (k, l) =>
       val m = RandomHyperplaneLSH.model(p.dim, k, l, seed = 23)
       val cands = RandomHyperplaneLSH.candidatePairs(spark, p.drA, p.drB, m)
@@ -96,11 +84,10 @@ object BlockingExperiments {
         .select("idA", "idB")
         .cache()
       val nPred = scored.count()
-      val tp = scored.join(p.ds.matches,
-        scored("idA") === p.ds.matches("idA") && scored("idB") === p.ds.matches("idB")).count()
+      val tp = MultiProbeLSH.goldHits(scored, p.ds.matches)
       scored.unpersist()
       val prec = if (nPred == 0) 0.0 else tp.toDouble / nPred
-      val rec = tp.toDouble / nGold
+      val rec = tp.toDouble / matches.size
       (k, l, prec, rec)
     }
   }
@@ -160,22 +147,16 @@ object BlockingExperiments {
   def blockingSweepRows(spark: SparkSession): Seq[Seq[Seq[String]]] = {
     val ag = prepareBlocks(spark, ERDatasets.prodAG(spark))
     val dsb = prepareBlocks(spark, ERDatasets.pubDS(spark))
-    val ks = Seq(1, 2, 4, 6, 8, 10)
-    val (agK, dsK) = (sweepK(spark, ag, ks), sweepK(spark, dsb, ks))
-    val rowsK = ks.indices.map { i =>
-      val k = ks(i)
-      Seq(k.toString,
-        fmtPct(agK(i)._2), fmtPct(dsK(i)._2), fmtPct(fig10aPaper(k)._1), fmtPct(fig10aPaper(k)._2),
-        fmtPct(agK(i)._3), fmtPct(dsK(i)._3), fmtPct(fig10bPaper(k)._1), fmtPct(fig10bPaper(k)._2))
+    val vs = Seq(1, 2, 4, 6, 8, 10)
+    def rows(config: Int => (Int, Int), pcPaper: Map[Int, (Double, Double)], rrPaper: Map[Int, (Double, Double)]) = {
+      val (agR, dsR) = (sweep(spark, ag, vs.map(config)), sweep(spark, dsb, vs.map(config)))
+      vs.indices.map { i =>
+        val v = vs(i)
+        Seq(v.toString,
+          fmtPct(agR(i)._1), fmtPct(dsR(i)._1), fmtPct(pcPaper(v)._1), fmtPct(pcPaper(v)._2),
+          fmtPct(agR(i)._2), fmtPct(dsR(i)._2), fmtPct(rrPaper(v)._1), fmtPct(rrPaper(v)._2))
+      }
     }
-    val ls = Seq(1, 2, 4, 6, 8, 10)
-    val (agL, dsL) = (sweepL(spark, ag, ls), sweepL(spark, dsb, ls))
-    val rowsL = ls.indices.map { i =>
-      val l = ls(i)
-      Seq(l.toString,
-        fmtPct(agL(i)._2), fmtPct(dsL(i)._2), fmtPct(fig10cPaper(l)._1), fmtPct(fig10cPaper(l)._2),
-        fmtPct(agL(i)._3), fmtPct(dsL(i)._3), fmtPct(fig10dPaper(l)._1), fmtPct(fig10dPaper(l)._2))
-    }
-    Seq(rowsK, rowsL)
+    Seq(rows((_, 10), fig10aPaper, fig10bPaper), rows((4, _), fig10cPaper, fig10dPaper))
   }
 }

@@ -27,7 +27,8 @@ object MultiProbeLSH {
 
   /** Candidate pairs where each A-tuple probes `mp`-perturbed buckets of
     * every hash table and keeps its top-N candidates by cosine similarity
-    * of the DRs (computed distributed via a join on the B side).
+    * of the DRs. Both sides' bucket rows carry their DR through the join
+    * on (table, code), where the cosine is computed distributed.
     *
     * @return DataFrame(idA, idB, sim)
     */
@@ -39,21 +40,8 @@ object MultiProbeLSH {
       mp: Int,
       topN: Int,
   ): DataFrame = {
-    val bm = spark.sparkContext.broadcast(m)
-    val probeSig = udf { (dr: Seq[Double]) =>
-      val v = dr.toArray
-      for {
-        l <- 0 until bm.value.L
-        c <- probeCodes(bm.value.signature(v, l), bm.value.K, mp)
-      } yield (l, c)
-    }
-    val sa = drA.select(col("id").as("idA"), col("dr").as("drA"),
-      explode(probeSig(col("dr"))).as("tc"))
-      .select(col("idA"), col("drA"), col("tc._1").as("table"), col("tc._2").as("code"))
-    val sb = RandomHyperplaneLSH.signatures(spark, drB, m)
-      .withColumnRenamed("id", "idB")
-      .join(drB.select(col("id").as("idB"), col("dr").as("drB")), "idB")
-
+    val sa = RandomHyperplaneLSH.buckets(spark, drA, m, mp, col("id").as("idA"), col("dr").as("drA"))
+    val sb = RandomHyperplaneLSH.buckets(spark, drB, m, 0, col("id").as("idB"), col("dr").as("drB"))
     val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
       repro.nn.Linalg.cosine(a.toArray, b.toArray)
     }
@@ -66,10 +54,16 @@ object MultiProbeLSH {
       .drop("rank")
   }
 
-  /** Recall of the gold matches among the retained candidates. */
-  def recall(candidates: DataFrame, matches: DataFrame): Double = {
-    val hit = candidates.join(matches,
+  /** Gold pairs among `candidates`: |candidates ⋈ matches| on (idA, idB). */
+  def goldHits(candidates: DataFrame, matches: DataFrame): Long =
+    candidates.join(matches,
       candidates("idA") === matches("idA") && candidates("idB") === matches("idB")).count()
+
+  /** Recall of the gold matches among the retained candidates (the pair
+    * completeness of Section 5.4 when `candidates` is a blocking output).
+    */
+  def recall(candidates: DataFrame, matches: DataFrame): Double = {
+    val hit = goldHits(candidates, matches)
     val nGold = matches.count()
     if (nGold == 0) 1.0 else hit.toDouble / nGold
   }

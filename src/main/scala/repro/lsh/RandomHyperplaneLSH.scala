@@ -1,6 +1,6 @@
 package repro.lsh
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.nn.Linalg
 
@@ -37,18 +37,29 @@ object RandomHyperplaneLSH {
       Array.fill(l, k)(Linalg.unit(Array.fill(dim)(rng.nextGaussian()))))
   }
 
+  /** One row per (table, code) bucket a tuple occupies: its code in each
+    * of the L hash tables and, for mp > 0, every code within Hamming
+    * distance mp of it (the probes of Algorithm 5). The rows carry `cols`
+    * of `df` (which must have a `dr` vector column), then `table`, `code`.
+    */
+  private[lsh] def buckets(spark: SparkSession, df: DataFrame, m: LSHModel, mp: Int, cols: Column*): DataFrame = {
+    val bm = spark.sparkContext.broadcast(m)
+    val codes = udf { (dr: Seq[Double]) =>
+      val v = dr.toArray
+      for {
+        l <- 0 until bm.value.L
+        c <- MultiProbeLSH.probeCodes(bm.value.signature(v, l), bm.value.K, mp)
+      } yield (l, c)
+    }
+    val rows = df.select(cols :+ explode(codes(col("dr"))).as("tc"): _*)
+    rows.select(rows.columns.init.map(col) ++ Seq(col("tc._1").as("table"), col("tc._2").as("code")): _*)
+  }
+
   /** (id, table, code) rows for every tuple × hash table — the L-fold
     * index of Algorithm 4. `df` must carry `id` and a `dr` vector column.
     */
-  def signatures(spark: SparkSession, df: DataFrame, m: LSHModel): DataFrame = {
-    val bm = spark.sparkContext.broadcast(m)
-    val sig = udf { (dr: Seq[Double]) =>
-      val v = dr.toArray
-      (0 until bm.value.L).map(l => (l, bm.value.signature(v, l)))
-    }
-    df.select(col("id"), explode(sig(col("dr"))).as("tc"))
-      .select(col("id"), col("tc._1").as("table"), col("tc._2").as("code"))
-  }
+  def signatures(spark: SparkSession, df: DataFrame, m: LSHModel): DataFrame =
+    buckets(spark, df, m, 0, col("id"))
 
   /** Candidate pairs across two relations: tuples sharing a bucket in any
     * hash table (deduplicated). This is the blocking output on which the
@@ -69,10 +80,7 @@ object RandomHyperplaneLSH {
     */
   def blockingMetrics(candidates: DataFrame, matches: DataFrame, nA: Long, nB: Long): (Double, Double) = {
     val nCand = candidates.count()
-    val hit = candidates.join(matches,
-      candidates("idA") === matches("idA") && candidates("idB") === matches("idB")).count()
-    val nGold = matches.count()
-    val pc = if (nGold == 0) 1.0 else hit.toDouble / nGold
+    val pc = MultiProbeLSH.recall(candidates, matches)
     val rr = nCand.toDouble / (nA.toDouble * nB.toDouble)
     (pc, rr)
   }

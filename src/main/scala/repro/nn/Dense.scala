@@ -10,10 +10,6 @@ case object Tanh extends Activation {
   def f(x: Double): Double = math.tanh(x)
   def dfFromOut(y: Double): Double = 1.0 - y * y
 }
-case object ReLU extends Activation {
-  def f(x: Double): Double = if (x > 0) x else 0.0
-  def dfFromOut(y: Double): Double = if (y > 0) 1.0 else 0.0
-}
 case object Identity extends Activation {
   def f(x: Double): Double = x
   def dfFromOut(y: Double): Double = 1.0

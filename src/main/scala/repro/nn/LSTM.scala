@@ -62,7 +62,7 @@ object LSTM {
       val g = new Array[Double](4 * H)
       var j = 0
       while (j < 4 * H) {
-        g(j) = if (j >= 2 * H && j < 3 * H) Linalg.tanh(a(j)) else Linalg.sigmoid(a(j))
+        g(j) = if (j >= 2 * H && j < 3 * H) math.tanh(a(j)) else Linalg.sigmoid(a(j))
         j += 1
       }
       val c = new Array[Double](H)

@@ -37,12 +37,6 @@ object Linalg {
     Array.tabulate(a.length)(i => a(i) - b(i))
   }
 
-  /** Element-wise (Hadamard) product, new array. */
-  def hadamard(a: Array[Double], b: Array[Double]): Array[Double] = {
-    require(a.length == b.length)
-    Array.tabulate(a.length)(i => a(i) * b(i))
-  }
-
   /** a * s, new array. */
   def scale(a: Array[Double], s: Double): Array[Double] =
     Array.tabulate(a.length)(i => a(i) * s)
@@ -65,8 +59,6 @@ object Linalg {
   def sigmoid(x: Double): Double =
     if (x >= 0) 1.0 / (1.0 + math.exp(-x))
     else { val e = math.exp(x); e / (1.0 + e) }
-
-  def tanh(x: Double): Double = math.tanh(x)
 
   /** Normalize to unit length (zero vector stays zero). */
   def unit(a: Array[Double]): Array[Double] = {

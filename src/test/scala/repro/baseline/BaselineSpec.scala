@@ -3,74 +3,66 @@ package repro.baseline
 import org.scalatest.funsuite.AnyFunSuite
 
 class StringSimSpec extends AnyFunSuite {
-  test("levenshtein known values") {
-    assert(StringSim.levenshtein("kitten", "sitting") == 3)
-    assert(StringSim.levenshtein("abc", "abc") == 0)
-    assert(StringSim.levenshtein("", "abc") == 3)
-  }
-  test("levenshteinSim normalizes to [0,1]") {
-    assert(StringSim.levenshteinSim("abc", "abc") == 1.0)
-    assert(StringSim.levenshteinSim("abc", "xyz") == 0.0)
-    assert(math.abs(StringSim.levenshteinSim("kitten", "sitting") - (1 - 3.0 / 7)) < 1e-9)
-  }
-  test("levenshteinSim handles nulls") {
-    assert(StringSim.levenshteinSim(null, null) == 1.0)
-    assert(StringSim.levenshteinSim(null, "x") == 0.0)
-  }
+  import StringSim._
+
+  private def tri(a: String, b: String) = trigramCosine(trigrams(a), trigrams(b))
+
   test("jaro known value (MARTHA/MARHTA)") {
-    assert(math.abs(StringSim.jaro("martha", "marhta") - 0.9444444444) < 1e-6)
+    assert(math.abs(jaro("martha", "marhta") - 0.9444444444) < 1e-6)
   }
   test("jaro of disjoint strings is 0") {
-    assert(StringSim.jaro("abc", "xyz") == 0.0)
+    assert(jaro("abc", "xyz") == 0.0)
   }
   test("jaroWinkler boosts common prefixes (DIXON/DICKSONX)") {
-    assert(math.abs(StringSim.jaroWinkler("dixon", "dicksonx") - 0.8133333) < 1e-4)
+    assert(math.abs(jaroWinkler("dixon", "dicksonx") - 0.8133333) < 1e-4)
   }
   test("jaroWinkler of identical strings is 1") {
-    assert(StringSim.jaroWinkler("same", "same") == 1.0)
+    assert(jaroWinkler("same", "same") == 1.0)
   }
   test("jaccard over token sets") {
-    assert(StringSim.jaccard("a b c", "b c d") == 0.5)
-    assert(StringSim.jaccard("a", "a") == 1.0)
-    assert(StringSim.jaccard(null, null) == 1.0)
-    assert(StringSim.jaccard("a", null) == 0.0)
+    assert(jaccard(tokens("a b c"), tokens("b c d")) == 0.5)
+    assert(jaccard(tokens("a"), tokens("a")) == 1.0)
+    assert(jaccard(tokens(null), tokens(null)) == 1.0)
+    assert(jaccard(tokens("a"), tokens(null)) == 0.0)
   }
   test("overlap coefficient uses the smaller set") {
-    assert(StringSim.overlap("a b", "a b c d") == 1.0)
-    assert(StringSim.overlap("a x", "a b c d") == 0.5)
+    assert(overlap(tokens("a b"), tokens("a b c d")) == 1.0)
+    assert(overlap(tokens("a x"), tokens("a b c d")) == 0.5)
   }
   test("trigramCosine is 1 for identical strings and lower for typos") {
-    assert(math.abs(StringSim.trigramCosine("hello", "hello") - 1.0) < 1e-9)
-    val typo = StringSim.trigramCosine("hello", "helxo")
+    assert(math.abs(tri("hello", "hello") - 1.0) < 1e-9)
+    val typo = tri("hello", "helxo")
     assert(typo > 0.2 && typo < 1.0)
   }
   test("trigramCosine catches typos better than token jaccard") {
-    assert(StringSim.trigramCosine("wonderful", "wonderfull") > StringSim.jaccard("wonderful", "wonderfull"))
+    assert(tri("wonderful", "wonderfull") > jaccard(tokens("wonderful"), tokens("wonderfull")))
+  }
+  test("trigramCosine: two strings too short for a trigram agree, one-sided is 0") {
+    assert(tri("ab", "xy") == 1.0)
+    assert(tri("ab", "abc") == 0.0)
   }
   test("exact match indicator") {
-    assert(StringSim.exact("x", "x") == 1.0)
-    assert(StringSim.exact("x", "y") == 0.0)
-    assert(StringSim.exact(null, null) == 1.0)
+    assert(exact("x", "x") == 1.0)
+    assert(exact("x", "y") == 0.0)
+    assert(exact(null, null) == 1.0)
   }
   test("numericSim relative closeness") {
-    assert(StringSim.numericSim("100", "100") == 1.0)
-    assert(math.abs(StringSim.numericSim("100", "90") - 0.9) < 1e-9)
-    assert(StringSim.numericSim("abc", "100") == 0.0)
+    assert(numericSim(number("100"), number("100")) == 1.0)
+    assert(math.abs(numericSim(number("100"), number("90")) - 0.9) < 1e-9)
+    assert(numericSim(number("abc"), number("100")) == 0.0)
   }
   test("all similarities are symmetric") {
     val pairs = Seq(("kitten", "sitting"), ("a b", "b c"), ("hello", "hullo"))
     pairs.foreach { case (a, b) =>
-      assert(StringSim.levenshteinSim(a, b) == StringSim.levenshteinSim(b, a))
-      assert(math.abs(StringSim.jaro(a, b) - StringSim.jaro(b, a)) < 1e-12)
-      assert(StringSim.jaccard(a, b) == StringSim.jaccard(b, a))
-      assert(math.abs(StringSim.trigramCosine(a, b) - StringSim.trigramCosine(b, a)) < 1e-12)
+      assert(math.abs(jaro(a, b) - jaro(b, a)) < 1e-12)
+      assert(jaccard(tokens(a), tokens(b)) == jaccard(tokens(b), tokens(a)))
+      assert(math.abs(tri(a, b) - tri(b, a)) < 1e-12)
     }
   }
   test("synonyms are invisible to string similarity (the baseline's blind spot)") {
     // Lexically unrelated surface forms of one concept score low on every metric.
-    assert(StringSim.jaccard("rakemi", "tolave") == 0.0)
-    assert(StringSim.trigramCosine("rakemi", "tolave") < 0.3)
-    assert(StringSim.levenshteinSim("rakemi", "tolave") < 0.5)
+    assert(jaccard(tokens("rakemi"), tokens("tolave")) == 0.0)
+    assert(tri("rakemi", "tolave") < 0.3)
   }
 }
 

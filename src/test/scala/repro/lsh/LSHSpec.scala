@@ -207,6 +207,41 @@ class MultiProbeLSHSpec extends SparkSpec {
     assert(r2 > r0, s"mp0=$r0 mp2=$r2")
   }
 
+  test("topNCandidates equals DuckDB's ranked distinct bucket join (L = 2, mp = 0 and 2)") {
+    val m = RandomHyperplaneLSH.model(8, 4, 2, seed = 30)
+    val as = randVecs(30, 8, 31)
+    val bs = randVecs(40, 8, 32).map { case (i, v) => (i + 100L, v) }
+    def codes(vs: Seq[(Long, Array[Double])], mp: Int) = spark.createDataFrame(for {
+      (id, v) <- vs
+      l <- 0 until m.L
+      c <- MultiProbeLSH.probeCodes(m.signature(v, l), m.K, mp)
+    } yield (id, l, c)).toDF("id", "tbl", "code")
+    val sims = spark.createDataFrame(for ((ia, va) <- as; (ib, vb) <- bs) yield (ia, ib, Linalg.cosine(va, vb)))
+      .toDF("idA", "idB", "sim")
+    Seq(0, 2).foreach { mp =>
+      val topN = 3
+      Oracle.assertEquivalent(MultiProbeLSH.topNCandidates(spark, drDf(as), drDf(bs), m, mp, topN),
+        s"""SELECT idA, idB, sim FROM (
+          |  SELECT p.idA, p.idB, CAST(s.sim AS DOUBLE) AS sim, row_number() OVER (
+          |    PARTITION BY p.idA ORDER BY CAST(s.sim AS DOUBLE) DESC, p.idB) AS rn
+          |  FROM (SELECT DISTINCT CAST(a.id AS BIGINT) AS idA, CAST(b.id AS BIGINT) AS idB
+          |        FROM pa a JOIN pb b ON a.tbl = b.tbl AND a.code = b.code) p
+          |  JOIN sims s ON CAST(s.idA AS BIGINT) = p.idA AND CAST(s.idB AS BIGINT) = p.idB)
+          |WHERE rn <= $topN""".stripMargin,
+        "pa" -> codes(as, mp), "pb" -> codes(bs, 0), "sims" -> sims)
+    }
+  }
+
+  test("at mp = 0 with N >= |B|, topNCandidates keeps exactly the candidatePairs") {
+    val m = RandomHyperplaneLSH.model(8, 3, 2, seed = 33)
+    val a = drDf(randVecs(25, 8, 34))
+    val b = drDf(randVecs(30, 8, 35))
+    def ids(df: org.apache.spark.sql.DataFrame) =
+      df.select("idA", "idB").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val top = ids(MultiProbeLSH.topNCandidates(spark, a, b, m, mp = 0, topN = 30))
+    assert(top.nonEmpty && top == ids(RandomHyperplaneLSH.candidatePairs(spark, a, b, m)))
+  }
+
   test("recall of empty candidate set is 0 and of empty gold is 1") {
     val empty = drDf(Nil)
     val m = RandomHyperplaneLSH.model(4, 2, 1, seed = 27)

@@ -51,10 +51,6 @@ class LinalgSpec extends AnyFunSuite {
     assert(Linalg.sub(Linalg.add(a, b), b).sameElements(a))
   }
 
-  test("hadamard multiplies element-wise") {
-    assert(Linalg.hadamard(Array(2.0, 3.0), Array(4.0, -1.0)).sameElements(Array(8.0, -3.0)))
-  }
-
   test("scale multiplies every element") {
     assert(Linalg.scale(Array(1.0, -2.0), 3.0).sameElements(Array(3.0, -6.0)))
   }
